@@ -21,7 +21,7 @@ test: build vet
 # race.
 test-race: build
 	$(GO) test -race ./...
-	$(GO) test -race -count=3 -run 'TestCancel|TestTimeout|TestCallerDeadline|TestGoldenTrace|TestTraceSequentialFallbacks' ./internal/vadalog/
+	$(GO) test -race -count=3 -run 'TestCancel|TestTimeout|TestCallerDeadline|TestGoldenTrace|TestTraceSequentialFallbacks|TestLayeredConcurrentIndexBuild' ./internal/vadalog/
 	$(GO) test -race -count=3 -run 'TestFrozenConcurrentReaders|TestFrozenQueryConcurrent|TestConcurrentFrozenReaders' ./internal/pg/ ./internal/metalog/ ./internal/symtab/
 	$(GO) test -race -count=2 -run 'TestServeSoak|TestConcurrentQueriesShareSnapshot' ./internal/server/
 	$(GO) test -race -count=2 -run 'TestConcurrentBulkIngest' ./internal/pg/

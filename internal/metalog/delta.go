@@ -28,8 +28,13 @@ import (
 // an emptied relation is harmless (queries see no matches) and keeping the
 // layout stable is what makes the incremental path equivalence-preserving.
 //
-// The input database is not modified; on ok=true the returned database is a
-// fresh clone with the delta folded in (or db itself when the diff is empty).
+// The input database is frozen (vadalog.Database.Freeze) and never modified.
+// On ok=true the returned database is a Layer over it with the delta folded
+// in: every touched relation is replaced by a freshly built one, and every
+// untouched relation is shared with the input by pointer — together with
+// any index a query already built on it — so a serving lineage stops
+// copying the whole fact base per batch. An empty diff returns db itself.
+// Callers that serve the result freeze it in turn.
 func ApplyFactsDelta(db *vadalog.Database, cat *Catalog, diff overlay.Diff) (*vadalog.Database, bool) {
 	if diff.Empty() {
 		return db, true
@@ -98,7 +103,7 @@ func ApplyFactsDelta(db *vadalog.Database, cat *Catalog, diff overlay.Diff) (*va
 		touch(e.Label).add = append(touch(e.Label).add, edgeFact(cat, e))
 	}
 
-	out := db.Clone()
+	out := db.Layer()
 	preds := make([]string, 0, len(changes))
 	for p := range changes {
 		preds = append(preds, p)

@@ -165,6 +165,7 @@ func TestApplyFactsDeltaSweep(t *testing.T) {
 	nodeLabels := []string{"Company", "Person"}
 	edgeLabels := []string{"owns", "controls"}
 	propKeys := []string{"name", "share"}
+	sharedChecked := 0
 	for seed := int64(0); seed < 10; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
@@ -207,7 +208,25 @@ func TestApplyFactsDeltaSweep(t *testing.T) {
 				if err != nil {
 					t.Fatalf("batch %d: %v", batch, err)
 				}
+				inputDump := db.Dump()
 				next, ok := ApplyFactsDelta(db, cat, diff)
+				if db.Dump() != inputDump {
+					t.Fatalf("batch %d: ApplyFactsDelta modified its input", batch)
+				}
+				if ok {
+					// Relations the diff does not name are shared with the
+					// input by pointer, not copied.
+					touched := diffLabels(diff)
+					for _, pred := range db.Predicates() {
+						if touched[pred] {
+							continue
+						}
+						if next.Relation(pred) != db.Relation(pred) {
+							t.Fatalf("batch %d: untouched relation %s was not shared with the input", batch, pred)
+						}
+						sharedChecked++
+					}
+				}
 				if !ok {
 					// The lineage fallback: re-infer the catalog, full extract.
 					cat = FromGraph(ov)
@@ -224,6 +243,29 @@ func TestApplyFactsDeltaSweep(t *testing.T) {
 			}
 		})
 	}
+	if sharedChecked == 0 {
+		t.Fatal("no batch left a relation untouched; the sharing check is vacuous")
+	}
+	t.Logf("%d untouched relations checked for sharing", sharedChecked)
+}
+
+// diffLabels names every relation a diff can touch: each label of a node
+// added, removed or changed (before and after), and each edge label.
+func diffLabels(diff overlay.Diff) map[string]bool {
+	out := map[string]bool{}
+	nodes := append(append([]*pg.Node(nil), diff.AddedNodes...), diff.RemovedNodes...)
+	for _, c := range diff.ChangedNodes {
+		nodes = append(nodes, c.Before, c.After)
+	}
+	for _, n := range nodes {
+		for _, l := range n.Labels {
+			out[l] = true
+		}
+	}
+	for _, e := range append(append([]*pg.Edge(nil), diff.AddedEdges...), diff.RemovedEdges...) {
+		out[e.Label] = true
+	}
+	return out
 }
 
 // randDeltaOps emits a valid mutation batch against the overlay's current

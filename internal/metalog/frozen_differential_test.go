@@ -1,6 +1,7 @@
 package metalog
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -108,6 +109,14 @@ func TestFrozenDifferentialSweep(t *testing.T) {
 			t.Fatalf("seed %d: catalogs diverge:\n%v\n%v", seed, gc, fc)
 		}
 
+		fcat := FromGraph(f)
+		private, err := ExtractFacts(f, fcat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shared := private.Clone().Freeze()
+		sharedDump := shared.Dump()
+
 		for _, q := range diffQueries {
 			queries++
 			mrows, merr := Query(g, q, vadalog.Options{})
@@ -121,6 +130,27 @@ func TestFrozenDifferentialSweep(t *testing.T) {
 			if m, fr := renderRows(mrows), renderRows(frows); m != fr {
 				t.Fatalf("seed %d, query %q: rows diverge:\nmutable:\n%s\nfrozen:\n%s", seed, q, m, fr)
 			}
+			// The clone and layered legs over one pre-extracted database:
+			// the engine clones a private database per run, and derives into
+			// a copy-on-write layer over a frozen one.
+			for _, workers := range []int{1, 8} {
+				opts := vadalog.Options{Workers: workers}
+				crows, err := QueryDBCtx(context.Background(), private, fcat.Clone(), q, opts)
+				if err != nil {
+					t.Fatalf("seed %d, query %q, workers=%d: clone leg: %v", seed, q, workers, err)
+				}
+				lrows, err := QueryDBCtx(context.Background(), shared, fcat.Clone(), q, opts)
+				if err != nil {
+					t.Fatalf("seed %d, query %q, workers=%d: layered leg: %v", seed, q, workers, err)
+				}
+				c, l := renderRows(crows), renderRows(lrows)
+				if c != l || c != renderRows(mrows) {
+					t.Fatalf("seed %d, query %q, workers=%d: legs diverge:\nclone:\n%s\nlayered:\n%s", seed, q, workers, c, l)
+				}
+			}
+		}
+		if shared.Dump() != sharedDump || private.Dump() != sharedDump {
+			t.Fatalf("seed %d: queries modified a pre-extracted database", seed)
 		}
 	}
 	if queries < 100 {

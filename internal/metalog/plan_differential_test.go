@@ -45,6 +45,15 @@ func TestPlannedDifferentialSweep(t *testing.T) {
 		for seed := int64(0); seed < 10; seed++ {
 			g := diffGraph(rand.New(rand.NewSource(seed)))
 			f := g.Freeze()
+			// The layered leg: every query of the seed runs over one shared
+			// frozen extraction, as the serving layer does, so later queries
+			// also probe indexes earlier ones built.
+			shared, err := ExtractFacts(f, FromGraph(f))
+			if err != nil {
+				t.Fatal(err)
+			}
+			shared.Freeze()
+			sharedDump := shared.Dump()
 			for _, q := range diffQueries {
 				queries++
 				want, err := Query(f, q, vadalog.Options{Workers: workers})
@@ -59,6 +68,17 @@ func TestPlannedDifferentialSweep(t *testing.T) {
 					t.Fatalf("workers=%d seed %d, query %q diverged:\nunplanned:\n%s\nplanned:\n%s",
 						workers, seed, q, w, g)
 				}
+				layered, err := prep.QueryDB(context.Background(), shared, vadalog.Options{Workers: workers})
+				if err != nil {
+					t.Fatalf("layered run %q: %v", q, err)
+				}
+				if g, l := renderRows(got), renderRows(layered); g != l {
+					t.Fatalf("workers=%d seed %d, query %q: layered leg diverged:\nclone:\n%s\nlayered:\n%s",
+						workers, seed, q, g, l)
+				}
+			}
+			if shared.Dump() != sharedDump {
+				t.Fatalf("workers=%d seed %d: queries modified the shared frozen extraction", workers, seed)
 			}
 		}
 		if queries < 100 {

@@ -15,7 +15,8 @@ import (
 // against databases extracted under the same catalog. This is the serving
 // layer's plan-cache entry: after PrepareQuery returns, a Prepared is
 // immutable and safe for concurrent QueryDB calls (the engine never mutates
-// the program, and clones the database unless opts.OwnInput is set).
+// the program, and evaluates over a copy-on-write layer of a frozen
+// database — see QueryDB).
 type Prepared struct {
 	pattern string
 	vars    []string
@@ -115,8 +116,12 @@ func (p *Prepared) Stale() bool { return p.stale }
 
 // QueryDB evaluates the prepared pattern against a pre-extracted fact
 // database (see ExtractFacts), running the planned program when one exists.
-// Provenance runs always take the written-order program — proof trees are
-// explained against the program as written.
+// A frozen database is shared, never written: the run derives into a
+// per-query layer over it (vadalog.Database.Layer), so concurrent QueryDB
+// calls over one frozen database need no copy of it. A private database is
+// cloned unless opts.OwnInput hands it over. Provenance runs always take the
+// written-order program — proof trees are explained against the program as
+// written.
 func (p *Prepared) QueryDB(ctx context.Context, db *vadalog.Database, opts vadalog.Options) ([]QueryRow, error) {
 	if p.stale {
 		return nil, fmt.Errorf("prepared pattern: %w", ErrStaleDatabase)

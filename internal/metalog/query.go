@@ -87,9 +87,10 @@ func QueryWithCatalogCtx(ctx context.Context, g pg.View, cat *Catalog, pattern s
 var ErrStaleDatabase = errors.New("metalog: query needs layouts absent from the pre-extracted database")
 
 // QueryDBCtx evaluates a pattern against a pre-extracted fact database (see
-// ExtractFacts). Unless opts.OwnInput is set the database is cloned by the
-// engine and survives the call untouched, so one extraction can be shared
-// across many concurrent queries — the serving layer's hot path. The catalog
+// ExtractFacts). A frozen database (vadalog.Database.Freeze) is shared, never
+// written: the engine evaluates over a per-query copy-on-write layer, so one
+// extraction serves many concurrent queries with no copy of it. A private
+// database is cloned by the engine unless opts.OwnInput hands it over. The catalog
 // is extended with the query-result layout and must be private to the call
 // (Catalog.Clone a shared one). A pattern that mentions labels or properties
 // outside the catalog the database was extracted with fails with

@@ -18,10 +18,11 @@ import (
 // top of the serving snapshot without rebuilding it: the batch goes into an
 // LSM-style overlay (internal/overlay) cloned from the current generation,
 // the extracted fact database is maintained incrementally from the batch's
-// net diff (metalog.ApplyFactsDelta), and the whole unit — merged view,
-// catalog, fact database — swaps in as the next generation. A failed batch
-// mutates only the clone, so the serving generation is untouched, bit for
-// bit.
+// net diff (metalog.ApplyFactsDelta: a layer over the previous generation's
+// frozen facts that replaces only the touched relations, frozen in turn),
+// and the whole unit — merged view, catalog, fact database — swaps in as the
+// next generation. A failed batch mutates only the clone, so the serving
+// generation is untouched, bit for bit.
 //
 // Compaction folds the overlay into a fresh frozen snapshot (the PR 4
 // two-phase discipline): the overlay's Compact reuses the freeze pipeline,
@@ -102,7 +103,7 @@ func (s *Server) Mutate(ops []overlay.Op) (MutateInfo, error) {
 				return err
 			}
 		}
-		next = &snapshot{frozen: sn.frozen, view: ov, ov: ov, cat: cat, db: db,
+		next = &snapshot{frozen: sn.frozen, view: ov, ov: ov, cat: cat, db: db.Freeze(),
 			pstats: sn.pstats, build: sn.build, file: sn.file}
 		info = MutateInfo{
 			Ops:          len(ops),

@@ -9,7 +9,6 @@ import (
 	"repro/internal/metalog"
 	"repro/internal/obs"
 	"repro/internal/plan"
-	"repro/internal/vadalog"
 )
 
 // The serving side of the cost-based query planner (internal/plan,
@@ -198,12 +197,7 @@ func (s *Server) handleExplain(r *http.Request) (*apiResult, *apiError) {
 			ctx, cancel = context.WithTimeout(ctx, s.cfg.Timeout)
 			defer cancel()
 		}
-		opts := vadalog.Options{
-			Workers:  s.cfg.EngineWorkers,
-			MaxFacts: s.cfg.MaxFacts,
-			OnFault:  s.cfg.OnFault,
-		}
-		rows, err := s.queryRows(ctx, sn, prep, req.Query, opts)
+		rows, err := s.queryRows(ctx, sn, prep, req.Query, s.queryOpts())
 		if err != nil {
 			return nil, mapEvalError(err)
 		}

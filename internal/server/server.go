@@ -190,7 +190,10 @@ type snapshot struct {
 	// clones it, applies the batch to the clone, and swaps.
 	ov  *overlay.Overlay
 	cat *metalog.Catalog
-	db  *vadalog.Database
+	// db is the generation's extracted fact base, frozen: every query
+	// derives into its own copy-on-write layer over it (see queryOpts), and
+	// the join indexes queries build on it persist for the generation.
+	db *vadalog.Database
 
 	// pstats is the planner's statistics catalog, computed once per frozen
 	// generation (nil with the planner off). Mutated generations carry the
@@ -460,15 +463,15 @@ func (s *Server) buildSnapshot(g *pg.Graph) (*snapshot, error) {
 }
 
 // buildFromFrozen precomputes the query substrate over an existing frozen
-// view: the inferred catalog and the extracted fact database shared
-// (read-only) by every query against this generation.
+// view: the inferred catalog and the extracted fact database, frozen and
+// shared by every query against this generation.
 func (s *Server) buildFromFrozen(frozen *pg.Frozen, build *snapfile.BuildInfo) (*snapshot, error) {
 	cat := metalog.FromGraph(frozen)
 	db, err := metalog.ExtractFacts(frozen, cat)
 	if err != nil {
 		return nil, fmt.Errorf("server: extracting facts: %w", err)
 	}
-	sn := &snapshot{frozen: frozen, view: frozen, cat: cat, db: db, build: build}
+	sn := &snapshot{frozen: frozen, view: frozen, cat: cat, db: db.Freeze(), build: build}
 	if !s.cfg.PlannerOff {
 		sn.pstats = metalog.ComputePlanStats(frozen, cat)
 	}
@@ -648,19 +651,14 @@ func (s *Server) handleQuery(r *http.Request) (*apiResult, *apiError) {
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.Timeout)
 		defer cancel()
 	}
-	opts := vadalog.Options{
-		Workers:  s.cfg.EngineWorkers,
-		MaxFacts: s.cfg.MaxFacts,
-		OnFault:  s.cfg.OnFault,
-	}
+	opts := s.queryOpts()
 	var rows []metalog.QueryRow
 	var err error
 	if s.cfg.PlannerOff {
-		// Planner disabled: the pre-planner path, per request. The snapshot's
-		// database is shared read-only across queries: the engine clones it
-		// (OwnInput is left false); the catalog is cloned because translation
-		// extends it with the query-result layout.
-		rows, err = metalog.QueryDBCtx(ctx, sn.db, sn.cat.Clone(), req.Query, opts)
+		// Planner disabled: the pre-planner path, per request, over the
+		// same per-query layer as the planned path. The catalog is cloned
+		// because translation extends it with the query-result layout.
+		rows, err = metalog.QueryDBCtx(ctx, sn.db.Layer(), sn.cat.Clone(), req.Query, opts)
 		if errors.Is(err, metalog.ErrStaleDatabase) {
 			rows, err = metalog.QueryWithCatalogCtx(ctx, sn.view, sn.cat.Clone(), req.Query, opts)
 		}
@@ -684,13 +682,29 @@ func (s *Server) handleQuery(r *http.Request) (*apiResult, *apiError) {
 	return &apiResult{body: out, gen: sn.gen, cache: "miss"}, nil
 }
 
-// queryRows runs a prepared query against the snapshot's shared database,
-// with the stale-pattern fallback of the unplanned path: a pattern that
-// mentions labels or properties the shared database has no columns for is
-// re-extracted (and evaluated written-order) against a fresh catalog clone —
-// slower, but the result is still cached under this generation.
+// queryOpts are the engine options of one query evaluation. OwnInput is set
+// because every run gets a database of its own: a copy-on-write layer over
+// the generation's frozen facts (sn.db.Layer(), O(#relations)), or a fresh
+// extraction on the stale-pattern fallback. The run derives into the layer;
+// the snapshot's facts are never copied or written, and the indexes built
+// on them serve every later query of the generation.
+func (s *Server) queryOpts() vadalog.Options {
+	return vadalog.Options{
+		Workers:  s.cfg.EngineWorkers,
+		MaxFacts: s.cfg.MaxFacts,
+		OnFault:  s.cfg.OnFault,
+		OwnInput: true,
+	}
+}
+
+// queryRows runs a prepared query against a layer over the snapshot's
+// shared database, with the stale-pattern fallback of the unplanned path: a
+// pattern that mentions labels or properties the shared database has no
+// columns for is re-extracted (and evaluated written-order) against a fresh
+// catalog clone — slower, but the result is still cached under this
+// generation.
 func (s *Server) queryRows(ctx context.Context, sn *snapshot, prep *metalog.Prepared, query string, opts vadalog.Options) ([]metalog.QueryRow, error) {
-	rows, err := prep.QueryDB(ctx, sn.db, opts)
+	rows, err := prep.QueryDB(ctx, sn.db.Layer(), opts)
 	if errors.Is(err, metalog.ErrStaleDatabase) {
 		rows, err = metalog.QueryWithCatalogCtx(ctx, sn.view, sn.cat.Clone(), query, opts)
 	}

@@ -97,7 +97,7 @@ func (s *Server) replayWAL() error {
 			return fmt.Errorf("server: wal replay: %w", err)
 		}
 		s.snap.Store(&snapshot{gen: sn.gen, frozen: sn.frozen, view: ov, ov: ov,
-			cat: cat, db: db, pstats: sn.pstats, build: sn.build, file: sn.file})
+			cat: cat, db: db.Freeze(), pstats: sn.pstats, build: sn.build, file: sn.file})
 	}
 	s.recovering.Store(false)
 	return nil

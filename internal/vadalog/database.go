@@ -1,14 +1,24 @@
 package vadalog
 
 import (
+	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/value"
 )
+
+// ErrFrozen reports a write to a frozen relation or database (see
+// Database.Freeze). Frozen state is shared by pointer between databases, so
+// writes are refused rather than applied; write through a Layer instead.
+var ErrFrozen = errors.New("vadalog: write to a frozen relation")
 
 // Fact is a tuple of values, a member of a relation (Section 4, "Relational
 // Foundations"). Facts are immutable once inserted.
@@ -157,6 +167,21 @@ type Relation struct {
 	// live relations hand removed Fact headers to callers, and recycling
 	// would overwrite them in place.
 	recycle bool
+
+	// frozen marks a relation shared read-only between databases (Freeze):
+	// every write returns ErrFrozen. Freeze moves the indexes to shared and
+	// leaves indexes nil, so a frozen relation's index probe always misses
+	// the private map and ensureIndex takes the shared path — the branch
+	// sits on the miss path only, and a private relation's probe is the
+	// same map hit it always was.
+	frozen bool
+	// shared holds a frozen relation's indexes, published copy-on-write:
+	// readers load the mask map without a lock, and idxMu serializes the
+	// lazy builds, each of which publishes a new mask map once. Concurrent
+	// queries over one frozen base therefore build each index once per
+	// generation and never write a map another goroutine reads.
+	shared atomic.Pointer[map[uint64]map[uint64][]int]
+	idxMu  sync.Mutex
 }
 
 // NewRelation returns an empty relation of the given arity.
@@ -175,13 +200,38 @@ func (r *Relation) Len() int { return len(r.facts) }
 // slots, dedup buckets and per-mask index maps are all retained. The
 // maintenance path resets its pooled shadow relations between batches, so a
 // steady-state Apply stops paying slice and map regrowth for them.
-func (r *Relation) Reset() {
+func (r *Relation) Reset() error {
+	if r.frozen {
+		return ErrFrozen
+	}
 	r.facts = r.facts[:0]
 	clear(r.dedup)
 	clear(r.dedupMore)
 	for _, idx := range r.indexes {
 		clear(idx)
 	}
+	return nil
+}
+
+// thaw returns a private, writable copy of the relation: the fact slice and
+// dedup tables are copied (the facts themselves are immutable and shared),
+// and no index is copied — the copy builds its own on first probe.
+func (r *Relation) thaw() *Relation {
+	out := &Relation{
+		Arity:   r.Arity,
+		facts:   slices.Clone(r.facts),
+		dedup:   maps.Clone(r.dedup),
+		indexes: make(map[uint64]map[uint64][]int),
+	}
+	if len(r.dedupMore) > 0 {
+		// The overflow lists are appended to in place, so each one is
+		// copied rather than shared with the original.
+		out.dedupMore = make(map[uint64][]int32, len(r.dedupMore))
+		for h, ps := range r.dedupMore {
+			out.dedupMore[h] = slices.Clone(ps)
+		}
+	}
+	return out
 }
 
 // At returns the fact at the given position.
@@ -215,10 +265,13 @@ func (r *Relation) Contains(f Fact) bool {
 }
 
 // Insert adds a fact, reporting whether it was new. It is an error to insert
-// a fact of the wrong arity.
+// a fact of the wrong arity, or into a frozen relation (ErrFrozen).
 func (r *Relation) Insert(f Fact) (bool, error) {
 	if len(f) != r.Arity {
 		return false, fmt.Errorf("vadalog: arity mismatch: relation has arity %d, fact has %d", r.Arity, len(f))
+	}
+	if r.frozen {
+		return false, ErrFrozen
 	}
 	h := hashTuple(f)
 	if _, dup := r.dedupFind(h, f); dup {
@@ -235,6 +288,9 @@ func (r *Relation) Insert(f Fact) (bool, error) {
 func (r *Relation) InsertValues(vals []value.Value) (bool, error) {
 	if len(vals) != r.Arity {
 		return false, fmt.Errorf("vadalog: arity mismatch: relation has arity %d, fact has %d", r.Arity, len(vals))
+	}
+	if r.frozen {
+		return false, ErrFrozen
 	}
 	h := hashTuple(vals)
 	if _, dup := r.dedupFind(h, vals); dup {
@@ -293,7 +349,8 @@ func projectHash(f Fact, mask uint64) uint64 {
 // mutation on the relation read path, so after warming, concurrent Lookup /
 // Contains / At / Len calls are race-free as long as no Insert runs
 // alongside them — which the parallel evaluator guarantees by buffering
-// emissions until its merge barrier.
+// emissions until its merge barrier. (Frozen relations need no warming to
+// be race-free; warming one just builds its shared index early.)
 func (r *Relation) warmIndex(mask uint64) {
 	if mask != 0 {
 		r.ensureIndex(mask)
@@ -304,12 +361,48 @@ func (r *Relation) ensureIndex(mask uint64) map[uint64][]int {
 	if idx, ok := r.indexes[mask]; ok {
 		return idx
 	}
+	if r.frozen {
+		return r.sharedIndex(mask)
+	}
+	idx := r.buildIndex(mask)
+	r.indexes[mask] = idx
+	return idx
+}
+
+// buildIndex hashes every fact's projection onto mask.
+func (r *Relation) buildIndex(mask uint64) map[uint64][]int {
 	idx := make(map[uint64][]int)
 	for pos, f := range r.facts {
 		ph := projectHash(f, mask)
 		idx[ph] = append(idx[ph], pos)
 	}
-	r.indexes[mask] = idx
+	return idx
+}
+
+// sharedIndex returns a frozen relation's index for mask, building it on
+// first use. Builds run under idxMu and publish a fresh mask map, so a
+// reader never sees a map that is still being written; a published index is
+// never written again, since a frozen relation takes no inserts.
+func (r *Relation) sharedIndex(mask uint64) map[uint64][]int {
+	if m := r.shared.Load(); m != nil {
+		if idx, ok := (*m)[mask]; ok {
+			return idx
+		}
+	}
+	r.idxMu.Lock()
+	defer r.idxMu.Unlock()
+	var next map[uint64]map[uint64][]int
+	if m := r.shared.Load(); m != nil {
+		if idx, ok := (*m)[mask]; ok {
+			return idx // another goroutine built it while we waited
+		}
+		next = maps.Clone(*m)
+	} else {
+		next = make(map[uint64]map[uint64][]int, 1)
+	}
+	idx := r.buildIndex(mask)
+	next[mask] = idx
+	r.shared.Store(&next)
 	return idx
 }
 
@@ -384,15 +477,19 @@ func (r *Relation) All() []Fact { return r.facts }
 // down); posting lists DO stay ascending, which the engine's window
 // filtering binary-searches on. Because positions shift, Remove must never
 // run while an engine holds position windows over the relation — the
-// maintenance layer only calls it between evaluation phases.
-func (r *Relation) Remove(facts []Fact) []Fact {
+// maintenance layer only calls it between evaluation phases. A frozen
+// relation removes nothing and returns ErrFrozen.
+func (r *Relation) Remove(facts []Fact) ([]Fact, error) {
 	return r.removeInto(nil, facts)
 }
 
 // removeInto is Remove accumulating into a caller-supplied buffer, so a
 // caller that drains the result between calls (the maintenance loop) reuses
 // one backing array instead of growing a fresh slice per relation.
-func (r *Relation) removeInto(removed []Fact, facts []Fact) []Fact {
+func (r *Relation) removeInto(removed []Fact, facts []Fact) ([]Fact, error) {
+	if r.frozen {
+		return removed, ErrFrozen
+	}
 	for _, f := range facts {
 		if len(f) != r.Arity {
 			continue
@@ -405,7 +502,7 @@ func (r *Relation) removeInto(removed []Fact, facts []Fact) []Fact {
 		removed = append(removed, r.facts[pos])
 		r.removeAt(pos, h)
 	}
-	return removed
+	return removed, nil
 }
 
 // removeAt unlinks the fact at pos (whose full-tuple hash is h) and moves the
@@ -569,8 +666,16 @@ func factLess(a, b Fact) bool {
 }
 
 // Database is a set of named relations: the (database) instance of Section 4.
+//
+// A database is either private — the engine saturates it in place — or
+// frozen (Freeze): read-only, shareable across goroutines and generations.
+// Layer stacks a private database over a frozen one, sharing every relation
+// by pointer; a relation is copied into the layer only when something writes
+// to it. That is how the serving layer evaluates every query over one frozen
+// fact base: the base plus a per-query derived delta, in O(#relations).
 type Database struct {
-	rels map[string]*Relation
+	rels   map[string]*Relation
+	frozen bool
 }
 
 // NewDatabase returns an empty database.
@@ -578,11 +683,53 @@ func NewDatabase() *Database {
 	return &Database{rels: make(map[string]*Relation)}
 }
 
+// Freeze makes the database and every relation in it read-only and returns
+// the database. Writes then fail with ErrFrozen, and Run, RunCtx and
+// RunInPlace evaluate over a Layer instead of saturating it. Freeze costs
+// O(#relations) and builds no index: indexes are built lazily, once per
+// relation and mask, and shared by every later reader. Freezing an already
+// frozen database or relation writes nothing, so it is safe while other
+// goroutines read it.
+func (d *Database) Freeze() *Database {
+	if d.frozen {
+		return d
+	}
+	for _, r := range d.rels {
+		if r.frozen {
+			continue
+		}
+		if len(r.indexes) > 0 {
+			idx := r.indexes
+			r.shared.Store(&idx)
+		}
+		r.indexes = nil
+		r.frozen = true
+	}
+	d.frozen = true
+	return d
+}
+
+// Frozen reports whether the database is read-only (see Freeze).
+func (d *Database) Frozen() bool { return d.frozen }
+
+// Layer returns a private database over d's relations: every relation is
+// shared by pointer, and the layer's writes never reach d. Layer freezes d
+// first (a relation shared by two databases must not change under either).
+// Writes through the layer are copy-on-write: AddFact and MergeInto copy a
+// shared relation into the layer before inserting, ReplaceFacts swaps in a
+// fresh one, and the engine copies the relations a program's heads write
+// before evaluating. Creating a layer costs O(#relations).
+func (d *Database) Layer() *Database {
+	d.Freeze()
+	return &Database{rels: maps.Clone(d.rels)}
+}
+
 // Relation returns the named relation, or nil if absent.
 func (d *Database) Relation(pred string) *Relation { return d.rels[pred] }
 
 // EnsureRelation returns the named relation, creating it with the given arity
-// if absent. It is an error to re-declare a relation with a different arity.
+// if absent. It is an error to re-declare a relation with a different arity,
+// and to create one in a frozen database (ErrFrozen).
 func (d *Database) EnsureRelation(pred string, arity int) (*Relation, error) {
 	if r, ok := d.rels[pred]; ok {
 		if r.Arity != arity {
@@ -590,15 +737,42 @@ func (d *Database) EnsureRelation(pred string, arity int) (*Relation, error) {
 		}
 		return r, nil
 	}
+	if d.frozen {
+		return nil, ErrFrozen
+	}
 	r := NewRelation(arity)
 	d.rels[pred] = r
 	return r, nil
 }
 
+// writable is EnsureRelation for a caller about to insert: a frozen relation
+// shared into this (private) database is first replaced by a private copy.
+func (d *Database) writable(pred string, arity int) (*Relation, error) {
+	r, err := d.EnsureRelation(pred, arity)
+	if err != nil || !r.frozen {
+		return r, err
+	}
+	if d.frozen {
+		return nil, ErrFrozen
+	}
+	return d.own(pred), nil
+}
+
+// own makes the named relation private to d, copying it when it is frozen
+// (shared), and returns it. d itself must not be frozen.
+func (d *Database) own(pred string) *Relation {
+	r := d.rels[pred]
+	if r != nil && r.frozen {
+		r = r.thaw()
+		d.rels[pred] = r
+	}
+	return r
+}
+
 // AddFact inserts a fact into the named relation, creating the relation on
 // first use. It reports whether the fact was new.
 func (d *Database) AddFact(pred string, vals ...value.Value) (bool, error) {
-	r, err := d.EnsureRelation(pred, len(vals))
+	r, err := d.writable(pred, len(vals))
 	if err != nil {
 		return false, err
 	}
@@ -659,18 +833,13 @@ func (d *Database) Predicates() []string {
 	return out
 }
 
-// Clone returns a deep copy of the database (facts are shared, as they are
-// immutable; relation bookkeeping is copied).
+// Clone returns a private deep copy of the database (facts are shared, as
+// they are immutable; relation bookkeeping is copied, indexes are not). The
+// copy is never frozen, whatever d is.
 func (d *Database) Clone() *Database {
 	out := NewDatabase()
 	for pred, r := range d.rels {
-		nr := NewRelation(r.Arity)
-		for _, f := range r.All() {
-			if _, err := nr.Insert(f); err != nil {
-				panic(err) // same arity by construction
-			}
-		}
-		out.rels[pred] = nr
+		out.rels[pred] = r.thaw()
 	}
 	return out
 }
@@ -680,8 +849,13 @@ func (d *Database) Clone() *Database {
 // layers rebuild a relation in a canonical order — the incremental fact
 // extractor keeps extraction relations in ascending-OID order this way, so an
 // incrementally maintained database is indistinguishable from a freshly
-// extracted one, insertion order included.
+// extracted one, insertion order included. The replaced relation itself is
+// not modified, so replacing a relation a Layer shares leaves the base
+// intact; a frozen database refuses with ErrFrozen.
 func (d *Database) ReplaceFacts(pred string, arity int, facts []Fact) error {
+	if d.frozen {
+		return ErrFrozen
+	}
 	nr := NewRelation(arity)
 	for _, f := range facts {
 		if _, err := nr.Insert(f); err != nil {
@@ -698,7 +872,7 @@ func (d *Database) MergeInto(dst *Database) (int, error) {
 	added := 0
 	for _, pred := range d.Predicates() {
 		r := d.rels[pred]
-		dr, err := dst.EnsureRelation(pred, r.Arity)
+		dr, err := dst.writable(pred, r.Arity)
 		if err != nil {
 			return added, err
 		}

@@ -208,8 +208,18 @@ func NewMaintainerCtx(ctx context.Context, prog *Program, db *Database, opts Opt
 	opts.Provenance = false
 	opts.OnFault = FailFast
 	opts.OwnInput = false
+	if db.frozen {
+		// The maintainer saturates and retracts in place; a frozen database
+		// is shared state it must not touch.
+		return nil, ErrFrozen
+	}
 
 	m := &Maintainer{prog: prog, db: db, opts: opts, edb: map[string]*Relation{}, pool: map[string]*Relation{}}
+	for pred := range db.rels {
+		// Relations a Layer shares become private: maintenance retracts
+		// from them in place.
+		db.own(pred)
+	}
 	for pred, rel := range db.rels {
 		if rel.Len() == 0 {
 			continue
@@ -318,7 +328,7 @@ func (m *Maintainer) shadowFor(mp *maintProg) *Database {
 // which is safe here because shadow facts never outlive the batch.
 func (m *Maintainer) pooledRelation(pred string, arity int) *Relation {
 	if r := m.pool[pred]; r != nil {
-		r.Reset()
+		r.Reset() //nolint:errcheck // pooled relations are private, never frozen
 		return r
 	}
 	r := NewRelation(arity)
@@ -682,7 +692,8 @@ func (m *Maintainer) retractEDB(dels []predFact) []predFact {
 		byPred[d.pred] = append(byPred[d.pred], d.f)
 	}
 	for _, pred := range order {
-		for _, f := range m.edb[pred].Remove(byPred[pred]) {
+		removed, _ := m.edb[pred].Remove(byPred[pred]) // the store is private, never frozen
+		for _, f := range removed {
 			out = append(out, predFact{pred, f})
 		}
 	}
@@ -713,7 +724,7 @@ func (m *Maintainer) assertEDB(adds []predFact) []predFact {
 func (m *Maintainer) rollback(undoDel, undoAdd []predFact, dbDirty bool) {
 	for _, a := range undoAdd {
 		er := m.edb[a.pred]
-		er.Remove([]Fact{a.f})
+		er.Remove([]Fact{a.f}) //nolint:errcheck // the store is private, never frozen
 		if er.Len() == 0 {
 			delete(m.edb, a.pred) // drop relations the batch itself introduced
 		}
@@ -796,7 +807,10 @@ func (m *Maintainer) applyDeletions(ctx context.Context, dels []predFact, stats 
 		if rel == nil {
 			continue
 		}
-		m.removedBuf = rel.removeInto(m.removedBuf[:0], scratch.rels[dp].All())
+		var err error
+		if m.removedBuf, err = rel.removeInto(m.removedBuf[:0], scratch.rels[dp].All()); err != nil {
+			return err
+		}
 		removed := m.removedBuf
 		gross += len(removed)
 		er := m.edb[pred]

@@ -153,7 +153,11 @@ func applyToEDB(t *testing.T, edb *Database, d Delta) {
 		if r == nil {
 			t.Fatalf("reference EDB missing %s", pred)
 		}
-		if removed := r.Remove(facts); len(removed) != len(facts) {
+		removed, err := r.Remove(facts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(removed) != len(facts) {
 			t.Fatalf("reference EDB removed %d/%d facts from %s", len(removed), len(facts), pred)
 		}
 	}

@@ -24,13 +24,16 @@ func TestRelationRemove(t *testing.T) {
 	}
 	r.ensureIndex(1 << 0) // pre-built index must survive the removal
 
-	removed := r.Remove([]Fact{
+	removed, err := r.Remove([]Fact{
 		{value.IntV(2), value.Str("b")},
 		{value.IntV(9), value.Str("z")},          // absent: skipped
 		{value.IntV(2), value.Str("b")},          // duplicate: skipped
 		{value.FloatV(3), value.Str("c")},                // wrong kind: not canonical-equal, skipped
 		{value.IntV(4), value.Str("d"), value.Str("x")}, // wrong arity: skipped
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(removed) != 1 || !tupleEqual(removed[0], facts[1]) {
 		t.Fatalf("removed = %v", removed)
 	}
@@ -99,7 +102,10 @@ func TestRelationRemoveModel(t *testing.T) {
 					batch = append(batch, f)
 					keys = append(keys, k)
 				}
-				removed := r.Remove(batch)
+				removed, err := r.Remove(batch)
+				if err != nil {
+					t.Fatal(err)
+				}
 				want := 0
 				for _, k := range keys {
 					if model[k] {

@@ -50,13 +50,16 @@ type Options struct {
 	// *PartialError so callers can salvage the strata that completed. See
 	// FaultPolicy.
 	OnFault FaultPolicy
-	// OwnInput declares that the caller hands the input database over to
-	// the run and will not read or reuse it afterwards. Run/RunCtx then
+	// OwnInput declares that the caller hands a private input database over
+	// to the run and will not read or reuse it afterwards. Run/RunCtx then
 	// skip the defensive Clone of the input and saturate it directly,
 	// exactly like RunInPlace — the right call for load-once pipelines
-	// (CLIs, query evaluation) where the clone is pure overhead. Leave it
-	// false when the same database feeds several runs, as the comparative
-	// benchmarks do.
+	// (CLIs, one-shot queries) where the clone is pure overhead. Leave it
+	// false when the same private database feeds several runs, as the
+	// comparative benchmarks do. A frozen input (Database.Freeze) is never
+	// cloned nor written whatever OwnInput says: the run evaluates over a
+	// copy-on-write Layer of it, which is how one shared fact base serves
+	// many concurrent queries.
 	OwnInput bool
 	// Workers sets the number of goroutines used to evaluate each rule.
 	// Values <= 1 select the sequential engine. With Workers >= 2, the
@@ -139,7 +142,7 @@ func (r *Result) Output(pred string) []Fact { return r.DB.SortedFacts(pred) }
 
 // Run executes the program over the input database and returns the saturated
 // result. The input database is not modified unless Options.OwnInput
-// transfers it to the run.
+// transfers it to the run; a frozen input is never modified.
 func Run(prog *Program, input *Database, opts Options) (*Result, error) {
 	return RunCtx(context.Background(), prog, input, opts)
 }
@@ -149,18 +152,21 @@ func Run(prog *Program, input *Database, opts Options) (*Result, error) {
 // — or Options.Timeout — expires (ErrTimeout). On interruption the returned
 // Result is non-nil and carries the partial statistics and database.
 //
-// By default the input is cloned so the caller's database survives the run
-// untouched; Options.OwnInput skips that copy for callers that hand the
-// database over.
+// A frozen input is shared, not copied: the run evaluates over a Layer of
+// it, and Result.DB is that layer. A private input is cloned so the caller's
+// database survives the run untouched; Options.OwnInput skips that copy for
+// callers that hand the database over.
 func RunCtx(ctx context.Context, prog *Program, input *Database, opts Options) (*Result, error) {
-	if !opts.OwnInput {
+	if !opts.OwnInput && !input.frozen {
 		input = input.Clone()
 	}
 	return RunInPlaceCtx(ctx, prog, input, opts)
 }
 
 // RunInPlace is Run but saturates the given database directly, avoiding the
-// copy. The database is extended with the derived facts.
+// copy. A private database is extended with the derived facts; a frozen one
+// is left as it is, and the run saturates a Layer over it instead (returned
+// as Result.DB).
 func RunInPlace(prog *Program, db *Database, opts Options) (*Result, error) {
 	return RunInPlaceCtx(context.Background(), prog, db, opts)
 }
@@ -199,6 +205,9 @@ func newEngine(ctx context.Context, prog *Program, db *Database, opts Options) (
 func newEngineAnalyzed(ctx context.Context, prog *Program, an *Analysis, db *Database, opts Options, cached []*cRule) (*engine, error) {
 	if opts.RequireWarded && !an.Warded {
 		return nil, fmt.Errorf("vadalog: program is not warded: %s", strings.Join(an.Violations, "; "))
+	}
+	if db.frozen {
+		db = db.Layer()
 	}
 	e := &engine{prog: prog, an: an, db: db, opts: opts, ctx: ctx, cachedRules: cached}
 	if e.ctx == nil {
@@ -495,8 +504,8 @@ func (s slotEnv) Lookup(name string) (value.Value, bool) {
 	return v, !v.IsZero()
 }
 
-// prepare validates arities, creates relations for every predicate, and
-// compiles all rules.
+// prepare validates arities, creates relations for every predicate, makes
+// the relations the program writes private, and compiles all rules.
 func (e *engine) prepare() error {
 	arities := map[string]int{}
 	note := func(pred string, n int, line int) error {
@@ -529,6 +538,15 @@ func (e *engine) prepare() error {
 		}
 		if _, err := e.db.EnsureRelation(pred, n); err != nil {
 			return err
+		}
+	}
+	// Copy-on-write, decided once per run: a head relation a Layer shares
+	// with a frozen base is copied into the layer before the fixpoint
+	// writes it. Every other relation stays shared, and its probes read the
+	// base's lazily built, generation-long indexes.
+	for _, r := range e.prog.Rules {
+		for _, h := range r.Head {
+			e.db.own(h.Pred)
 		}
 	}
 	if e.cachedRules != nil {
